@@ -6,23 +6,20 @@
 /// a standalone m-variable octagon would (2m(m+1) packed doubles, the
 /// component's variables renumbered 0..m-1), and pack() gathers it into
 /// a contiguous scratch block with one pass through the coherence index.
-/// The lattice operators (oct/octagon_ops.cpp) then run the flat span
-/// kernels of oct/vector_ops.h over a whole block — or over many small
-/// components' blocks laid end to end, so k tiny components pay one
-/// kernel dispatch instead of k — and scatter() writes the results back
-/// to the same slots pack() read.
+/// Meet and narrowing (oct/octagon_ops.cpp) then run one flat span
+/// kernel of oct/simd_kernels.h over all components' blocks laid end to
+/// end, so k components pay one kernel dispatch instead of k, and
+/// scatter() writes the results back to the same slots pack() read.
 ///
 /// Slot-set equivalence (what keeps nni exact): a block holds exactly
 /// the stored lower-triangle slots whose variable pair lies inside the
-/// component — the same set the scalar legs' forEachComponentSlot
-/// visits — so a counting kernel's finite count over the block equals
-/// the scalar leg's count over the component, entry for entry.
+/// component, so a counting kernel's finite count over the block equals
+/// the number of finite entries of the component, entry for entry.
 ///
 /// Two pack flavors mirror the two partition semantics of Section 4:
 ///   * packComponent — pure span copies. Valid when every pair of the
-///     component is materialized in the source buffer: refined
-///     partitions (join/widen: each refined pair lies inside one
-///     component of *each* input) and FullyInit matrices.
+///     component is materialized in the source buffer: FullyInit
+///     matrices, and components that sit inside one source block.
 ///   * packComponentEntry — reads through the partition like
 ///     Octagon::entry(), substituting implicit trivia (+inf, 0 on the
 ///     diagonal) for unrelated pairs. Needed for union-merged
@@ -106,8 +103,7 @@ void scatterComponent(const double *Src, HalfDbm &M,
 /// \p Vars): Dst[0 .. 2A+1] = the component row of 2A, Dst[2A+2 ..
 /// 4A+3] = the row of 2A+1. Returns the packed length 4(A+1). The
 /// early-exit predicates (leq/equals) pack one row pair at a time so a
-/// violation in the first rows costs one tiny pack + one kernel call,
-/// preserving the pointwise legs' early-exit profile on misses.
+/// violation in the first rows costs one tiny pack + one kernel call.
 std::size_t packRowPair(double *Dst, const HalfDbm &M,
                         const std::vector<unsigned> &Vars, std::size_t A);
 

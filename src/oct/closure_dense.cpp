@@ -2,7 +2,7 @@
 
 #include "oct/closure_dense.h"
 
-#include "oct/vector_min.h"
+#include "oct/simd_dispatch.h"
 #include "support/budget.h"
 #include "support/faultinject.h"
 
@@ -86,7 +86,8 @@ void optoct::shortestPathDense(HalfDbm &M, ClosureScratch &Scratch) {
     for (unsigned I = 0; I != D; ++I) {
       double C1 = ColK[I];
       double C2 = ColK1[I];
-      minPlusRow2(M.row(I), RowK, C1, RowK1, C2, (I | 1u) + 1);
+      activeSpanKernels().MinPlusRow2(M.row(I), RowK, C1, RowK1, C2,
+                                      (I | 1u) + 1);
     }
   }
 }
@@ -104,7 +105,8 @@ void optoct::strengthenDense(HalfDbm &M, ClosureScratch &Scratch) {
     T[J] = M.get(J ^ 1u, J);
 
   for (unsigned I = 0; I != D; ++I)
-    strengthenRow(M.row(I), T, T[I ^ 1u], (I | 1u) + 1);
+    activeSpanKernels().StrengthenRow(M.row(I), T, T[I ^ 1u],
+                                      (I | 1u) + 1);
 }
 
 bool optoct::closureDense(HalfDbm &M, ClosureScratch &Scratch) {

@@ -2,7 +2,7 @@
 
 #include "oct/closure_reference.h"
 
-#include "oct/vector_min.h"
+#include "oct/simd_dispatch.h"
 
 using namespace optoct;
 
@@ -72,7 +72,7 @@ bool optoct::closureFullVectorized(FullDbm &O) {
       // full operation count and gains only from vectorization,
       // locality, and scalar replacement.
       double Cik = O.at(I, K);
-      minPlusRow1(O.row(I), RowK, Cik, D);
+      activeSpanKernels().MinPlusRow1(O.row(I), RowK, Cik, D);
     }
   }
 
@@ -82,7 +82,7 @@ bool optoct::closureFullVectorized(FullDbm &O) {
   for (unsigned J = 0; J != D; ++J)
     T[J] = O.at(J ^ 1u, J);
   for (unsigned I = 0; I != D; ++I)
-    strengthenRow(O.row(I), T.data(), T[I ^ 1u], D);
+    activeSpanKernels().StrengthenRow(O.row(I), T.data(), T[I ^ 1u], D);
 
   for (unsigned I = 0; I != D; ++I)
     if (O.at(I, I) < 0.0)

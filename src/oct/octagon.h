@@ -107,6 +107,10 @@ public:
   const Partition &partition() const { return P; }
   bool isClosed() const { return Closed; }
 
+  /// True when every entry of the buffer is meaningful, not only the
+  /// submatrices of the partition's components.
+  bool fullyInit() const { return FullyInit; }
+
   /// Number of finite entries the materialized half DBM would have
   /// (including the implicit diagonal of uncovered variables).
   std::size_t nni() const;
@@ -197,9 +201,6 @@ private:
   Octagon(unsigned NumVars, PrivateTag); ///< No buffer initialization.
 
   double entryRaw(unsigned I, unsigned J) const { return M.get(I, J); }
-
-  /// True when every entry of the buffer is meaningful.
-  bool fullyInit() const { return FullyInit; }
 
   /// Makes the whole buffer meaningful by materializing the implicit
   /// trivial entries outside the partition.

@@ -13,6 +13,7 @@
 
 #include "oct/closure_reference.h"
 #include "oct/dbm.h"
+#include "oct/simd_dispatch.h"
 #include "support/random.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,13 @@
 #include <vector>
 
 namespace optoct::test {
+
+/// Restores the active SIMD tier when the scope ends, also on a failed
+/// ASSERT that returns early.
+struct TierGuard {
+  SimdTier Saved = activeSimdTier();
+  ~TierGuard() { simdForceTier(Saved); }
+};
 
 /// Fills \p M as a random coherent half DBM: each conceptual inequality
 /// is finite with probability \p Density, with an integer bound in

@@ -14,11 +14,14 @@
 #include "lang/parser.h"
 #include "oct/config.h"
 #include "oct/octagon.h"
+#include "oct/simd_dispatch.h"
+#include "oct_test_util.h"
 
 #include <gtest/gtest.h>
 
 using namespace optoct;
 using namespace optoct::analysis;
+using optoct::test::TierGuard;
 
 namespace {
 
@@ -272,13 +275,14 @@ TEST(Analysis, AblationConfigsAgreeOnPrograms) {
   cfg::Cfg G = cfg::Cfg::build(*P);
 
   OctConfig Saved = octConfig();
+  TierGuard Tier;
   std::vector<unsigned> ProvenCounts;
   for (bool Decomp : {true, false})
     for (bool Vec : {true, false})
       for (bool Sparse : {true, false}) {
         octConfig().EnableDecomposition = Decomp;
-        octConfig().EnableVectorization = Vec;
         octConfig().EnableSparse = Sparse;
+        simdForceTier(Vec ? Tier.Saved : SimdTier::Scalar);
         auto R = analyze<Octagon>(G);
         ProvenCounts.push_back(R.assertsProven());
       }

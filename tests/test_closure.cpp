@@ -14,7 +14,7 @@
 #include "oct/closure_incremental.h"
 #include "oct/closure_reference.h"
 #include "oct/closure_sparse.h"
-#include "oct/config.h"
+#include "oct/simd_dispatch.h"
 
 #include "oct_test_util.h"
 
@@ -54,8 +54,8 @@ TEST_P(ClosureDifferential, DenseMatchesReference) {
 
 TEST_P(ClosureDifferential, DenseScalarMatchesReference) {
   ClosureCase C = GetParam();
-  bool Saved = octConfig().EnableVectorization;
-  octConfig().EnableVectorization = false;
+  TierGuard Guard;
+  simdForceTier(SimdTier::Scalar);
   Rng R(C.Seed);
   HalfDbm M(C.NumVars);
   randomizeDbm(M, R, C.Density);
@@ -64,7 +64,6 @@ TEST_P(ClosureDifferential, DenseScalarMatchesReference) {
 
   ClosureScratch Scratch;
   bool Ok = closureDense(M, Scratch);
-  octConfig().EnableVectorization = Saved;
   ASSERT_EQ(Ok, RefOk);
   if (Ok)
     expectDbmEq(M, Ref, "scalar dense closure");

@@ -7,8 +7,8 @@
 /// baseline through identical random operation sequences — constraints,
 /// assignments, havoc, meet, join, widening, closure — and requires the
 /// strongly closed results to be identical after every step, across
-/// configurations (vectorized/scalar, sparse on/off, several sparsity
-/// thresholds). It also checks the structural invariant that the
+/// configurations (startup/scalar SIMD tier, sparse on/off, several
+/// sparsity thresholds). It also checks the structural invariant that the
 /// maintained partition always coarsens the exact one.
 ///
 //===----------------------------------------------------------------------===//
@@ -16,11 +16,14 @@
 #include "baseline/apron_octagon.h"
 #include "oct/config.h"
 #include "oct/octagon.h"
+#include "oct/simd_dispatch.h"
+#include "oct_test_util.h"
 #include "support/random.h"
 
 #include <gtest/gtest.h>
 
 using namespace optoct;
+using optoct::test::TierGuard;
 
 namespace {
 
@@ -173,7 +176,7 @@ struct FuzzCase {
   unsigned NumVars;
   unsigned Steps;
   std::uint64_t Seed;
-  bool Vectorize;
+  bool Vectorize; ///< false pins the scalar kernel tier
   bool Sparse;
   double Threshold;
 };
@@ -189,12 +192,14 @@ protected:
   void SetUp() override {
     Saved = octConfig();
     const FuzzCase &C = GetParam();
-    octConfig().EnableVectorization = C.Vectorize;
+    if (!C.Vectorize)
+      simdForceTier(SimdTier::Scalar);
     octConfig().EnableSparse = C.Sparse;
     octConfig().SparsityThreshold = C.Threshold;
   }
   void TearDown() override { octConfig() = Saved; }
   OctConfig Saved;
+  TierGuard Tier;
 };
 
 TEST_P(OctagonDifferential, RandomSequencesMatchBaseline) {

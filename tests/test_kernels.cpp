@@ -1,16 +1,16 @@
 //===- tests/test_kernels.cpp - Vector kernel tests ------------------------===//
 ///
 /// \file
-/// Direct tests of the AVX min-plus kernels against their scalar
-/// fallbacks on random data with infinities, across lengths that
-/// exercise the vector body and the scalar remainder.
+/// Direct tests of the closure/strengthening min-plus kernels of the
+/// startup-selected SIMD tier against the pinned scalar tier on random
+/// data with infinities, across lengths that exercise the vector body
+/// and the scalar remainder.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "oct/vector_min.h"
-
-#include "oct/config.h"
+#include "oct/simd_dispatch.h"
 #include "oct/value.h"
+#include "oct_test_util.h"
 #include "support/random.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <vector>
 
 using namespace optoct;
+using optoct::test::TierGuard;
 
 namespace {
 
@@ -28,11 +29,11 @@ std::vector<double> randomRow(Rng &R, std::size_t Len, double InfProb) {
   return Row;
 }
 
+/// Each test runs its kernel once under the startup-selected tier and
+/// once with the scalar tier forced, then restores the startup tier.
 class KernelTest : public ::testing::TestWithParam<std::size_t> {
 protected:
-  void SetUp() override { Saved = octConfig().EnableVectorization; }
-  void TearDown() override { octConfig().EnableVectorization = Saved; }
-  bool Saved;
+  TierGuard Guard;
 };
 
 TEST_P(KernelTest, MinPlusRow2MatchesScalar) {
@@ -45,10 +46,11 @@ TEST_P(KernelTest, MinPlusRow2MatchesScalar) {
   double B = R.chance(0.2) ? Infinity : R.intIn(-10, 10);
 
   std::vector<double> VecOut = Dst, ScalarOut = Dst;
-  octConfig().EnableVectorization = true;
-  minPlusRow2(VecOut.data(), RowA.data(), A, RowB.data(), B, Len);
-  octConfig().EnableVectorization = false;
-  minPlusRow2(ScalarOut.data(), RowA.data(), A, RowB.data(), B, Len);
+  activeSpanKernels().MinPlusRow2(VecOut.data(), RowA.data(), A, RowB.data(),
+                                  B, Len);
+  simdForceTier(SimdTier::Scalar);
+  activeSpanKernels().MinPlusRow2(ScalarOut.data(), RowA.data(), A,
+                                  RowB.data(), B, Len);
   EXPECT_EQ(VecOut, ScalarOut);
   for (std::size_t I = 0; I != Len; ++I)
     EXPECT_LE(VecOut[I], Dst[I]); // minimization only lowers
@@ -61,10 +63,9 @@ TEST_P(KernelTest, MinPlusRow1MatchesScalar) {
   std::vector<double> RowA = randomRow(R, Len, 0.3);
   double A = R.intIn(-10, 10);
   std::vector<double> VecOut = Dst, ScalarOut = Dst;
-  octConfig().EnableVectorization = true;
-  minPlusRow1(VecOut.data(), RowA.data(), A, Len);
-  octConfig().EnableVectorization = false;
-  minPlusRow1(ScalarOut.data(), RowA.data(), A, Len);
+  activeSpanKernels().MinPlusRow1(VecOut.data(), RowA.data(), A, Len);
+  simdForceTier(SimdTier::Scalar);
+  activeSpanKernels().MinPlusRow1(ScalarOut.data(), RowA.data(), A, Len);
   EXPECT_EQ(VecOut, ScalarOut);
 }
 
@@ -75,36 +76,10 @@ TEST_P(KernelTest, StrengthenRowMatchesScalar) {
   std::vector<double> T = randomRow(R, Len, 0.4);
   double Di = R.chance(0.3) ? Infinity : R.intIn(-10, 10);
   std::vector<double> VecOut = Dst, ScalarOut = Dst;
-  octConfig().EnableVectorization = true;
-  strengthenRow(VecOut.data(), T.data(), Di, Len);
-  octConfig().EnableVectorization = false;
-  strengthenRow(ScalarOut.data(), T.data(), Di, Len);
+  activeSpanKernels().StrengthenRow(VecOut.data(), T.data(), Di, Len);
+  simdForceTier(SimdTier::Scalar);
+  activeSpanKernels().StrengthenRow(ScalarOut.data(), T.data(), Di, Len);
   EXPECT_EQ(VecOut, ScalarOut);
-}
-
-TEST_P(KernelTest, MinMaxRowsMatchScalar) {
-  std::size_t Len = GetParam();
-  Rng R(Len * 7 + 4);
-  std::vector<double> Dst = randomRow(R, Len, 0.3);
-  std::vector<double> Src = randomRow(R, Len, 0.3);
-
-  std::vector<double> VecMin = Dst, ScalarMin = Dst;
-  octConfig().EnableVectorization = true;
-  minRows(VecMin.data(), Src.data(), Len);
-  octConfig().EnableVectorization = false;
-  minRows(ScalarMin.data(), Src.data(), Len);
-  EXPECT_EQ(VecMin, ScalarMin);
-
-  std::vector<double> VecMax = Dst, ScalarMax = Dst;
-  octConfig().EnableVectorization = true;
-  maxRows(VecMax.data(), Src.data(), Len);
-  octConfig().EnableVectorization = false;
-  maxRows(ScalarMax.data(), Src.data(), Len);
-  EXPECT_EQ(VecMax, ScalarMax);
-  for (std::size_t I = 0; I != Len; ++I) {
-    EXPECT_EQ(VecMin[I], std::min(Dst[I], Src[I]));
-    EXPECT_EQ(VecMax[I], std::max(Dst[I], Src[I]));
-  }
 }
 
 // Lengths straddling the 4-wide vector body: empty, sub-vector,

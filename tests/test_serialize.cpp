@@ -3,11 +3,14 @@
 #include "oct/serialize.h"
 
 #include "oct/config.h"
+#include "oct/simd_dispatch.h"
+#include "oct_test_util.h"
 #include "support/random.h"
 
 #include <gtest/gtest.h>
 
 using namespace optoct;
+using optoct::test::TierGuard;
 
 namespace {
 
@@ -205,18 +208,15 @@ TEST(Serialize, MutationFuzzSmokeNeverCrashes) {
 
 // The daemon's invariant cache replays serialized results byte for
 // byte across processes whose kernel configuration may differ (a cache
-// file written under OPTOCT_VECTORIZE=0 must hit under the AVX build
+// file written under OPTOCT_SIMD=scalar must hit under the AVX build
 // and vice versa). That only holds if serializeOctagon is a pure
 // function of the abstract element — bit-identical output across the
 // vectorized/scalar kernels and the dense/decomposed representations.
 TEST(Serialize, ByteStableAcrossKernelAndRepresentationConfigs) {
   struct ConfigSaver {
-    bool Vec = octConfig().EnableVectorization;
+    TierGuard Tier;
     bool Dec = octConfig().EnableDecomposition;
-    ~ConfigSaver() {
-      octConfig().EnableVectorization = Vec;
-      octConfig().EnableDecomposition = Dec;
-    }
+    ~ConfigSaver() { octConfig().EnableDecomposition = Dec; }
   } Saved;
 
   // Constraint scripts are generated once, as plain data, so every
@@ -262,7 +262,7 @@ TEST(Serialize, ByteStableAcrossKernelAndRepresentationConfigs) {
   // Replay under one configuration: closure of A (serialize closes),
   // plus a join and a widening to route through the binary kernels.
   auto Replay = [&](bool Vec, bool Dec) {
-    octConfig().EnableVectorization = Vec;
+    simdForceTier(Vec ? Saved.Tier.Saved : SimdTier::Scalar);
     octConfig().EnableDecomposition = Dec;
     std::vector<std::string> Bytes;
     for (const Script &S : Scripts) {

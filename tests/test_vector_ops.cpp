@@ -1,8 +1,7 @@
 //===- tests/test_vector_ops.cpp - Lattice-operator span kernel tests -----===//
 ///
 /// \file
-/// Two layers of vector/scalar parity checks for the span kernels of
-/// oct/vector_ops.h:
+/// Two layers of checks for the span kernels of oct/simd_kernels.h:
 ///
 ///   1. Kernel-level: each kernel run under every SIMD tier this
 ///      machine supports (scalar / AVX2 / AVX-512, forced through
@@ -11,22 +10,21 @@
 ///      identical returned finite-entry counts — which must also match
 ///      a manual recount against the pinned-scalar table.
 ///
-///   2. Operator-level differential: random octagon pairs of every
-///      shape (dense, block-decomposed, sparse, unary-heavy, top,
-///      bottom) run through every lattice operator with vectorization
-///      on vs off must yield bitwise-identical conceptual DBMs and
-///      identical nni / kind / partition / closedness, and identical
-///      boolean verdicts for inclusion and equality. Flipping
-///      EnableVectorization may only change speed, never a result.
-///      (tests/test_blocked.cpp repeats this sweep per SIMD tier and on
-///      adversarial partitions; tests/test_simd_dispatch.cpp covers the
-///      tier-selection policy itself.)
+///   2. Operator-level: random octagon pairs of every shape (dense,
+///      block-decomposed, sparse, unary-heavy, top, bottom) run through
+///      every lattice operator under every tier must match the
+///      entry-level oracle of tests/lattice_oracle.h — DBM entries, nni,
+///      kind, partition, closedness, and the inclusion/equality
+///      verdicts — and the scalar tier's result bitwise. The tier may
+///      only change speed, never a result. (tests/test_blocked.cpp
+///      repeats this sweep on adversarial partitions;
+///      tests/test_simd_dispatch.cpp covers the tier-selection policy
+///      itself.)
 ///
 //===----------------------------------------------------------------------===//
 
-#include "oct/vector_ops.h"
+#include "lattice_oracle.h"
 
-#include "oct/config.h"
 #include "oct/constraint.h"
 #include "oct/octagon.h"
 #include "oct/simd_dispatch.h"
@@ -39,6 +37,7 @@
 #include <vector>
 
 using namespace optoct;
+using namespace optoct::test;
 
 namespace {
 
@@ -49,24 +48,9 @@ std::vector<double> randomSpan(Rng &R, std::size_t Len, double InfProb) {
   return S;
 }
 
-/// Every SIMD tier this machine can execute, scalar included. Each
-/// kernel test runs its body once per tier (forced via simdForceTier)
-/// and compares against the pinned-scalar reference table, so on an
-/// AVX-512 machine one test exercises all three code paths.
-std::vector<SimdTier> supportedTiers() {
-  std::vector<SimdTier> Tiers{SimdTier::Scalar};
-  if (simdTierSupported(SimdTier::Avx2))
-    Tiers.push_back(SimdTier::Avx2);
-  if (simdTierSupported(SimdTier::Avx512))
-    Tiers.push_back(SimdTier::Avx512);
-  return Tiers;
-}
-
 class SpanKernelTest : public ::testing::TestWithParam<std::size_t> {
 protected:
-  void SetUp() override { Saved = activeSimdTier(); }
-  void TearDown() override { simdForceTier(Saved); }
-  SimdTier Saved;
+  TierGuard Guard;
 };
 
 TEST_P(SpanKernelTest, MaxMinSpanMatchScalar) {
@@ -85,9 +69,10 @@ TEST_P(SpanKernelTest, MaxMinSpanMatchScalar) {
 
   for (SimdTier Tier : supportedTiers()) {
     simdForceTier(Tier);
+    const SpanKernels &K = activeSpanKernels();
     std::vector<double> VecMax(Len), VecMin(Len);
-    maxSpan(VecMax.data(), A.data(), B.data(), Len);
-    minSpan(VecMin.data(), A.data(), B.data(), Len);
+    K.MaxSpan(VecMax.data(), A.data(), B.data(), Len);
+    K.MinSpan(VecMin.data(), A.data(), B.data(), Len);
     EXPECT_EQ(VecMax, ScalarMax) << simdTierName(Tier);
     EXPECT_EQ(VecMin, ScalarMin) << simdTierName(Tier);
   }
@@ -108,8 +93,10 @@ TEST_P(SpanKernelTest, MaxMinSpanCountMatchScalar) {
   EXPECT_EQ(ScalarMaxN, Manual);
   for (SimdTier Tier : supportedTiers()) {
     simdForceTier(Tier);
+    const SpanKernels &K = activeSpanKernels();
     std::vector<double> VecOut(Len);
-    std::size_t VecMaxN = maxSpanCount(VecOut.data(), A.data(), B.data(), Len);
+    std::size_t VecMaxN =
+        K.MaxSpanCount(VecOut.data(), A.data(), B.data(), Len);
     EXPECT_EQ(VecOut, ScalarOut) << simdTierName(Tier);
     EXPECT_EQ(VecMaxN, ScalarMaxN) << simdTierName(Tier);
   }
@@ -122,8 +109,10 @@ TEST_P(SpanKernelTest, MaxMinSpanCountMatchScalar) {
   EXPECT_EQ(ScalarMinN, Manual);
   for (SimdTier Tier : supportedTiers()) {
     simdForceTier(Tier);
+    const SpanKernels &K = activeSpanKernels();
     std::vector<double> VecOut(Len);
-    std::size_t VecMinN = minSpanCount(VecOut.data(), A.data(), B.data(), Len);
+    std::size_t VecMinN =
+        K.MinSpanCount(VecOut.data(), A.data(), B.data(), Len);
     EXPECT_EQ(VecOut, ScalarOut) << simdTierName(Tier);
     EXPECT_EQ(VecMinN, ScalarMinN) << simdTierName(Tier);
   }
@@ -149,9 +138,10 @@ TEST_P(SpanKernelTest, NarrowSpanCountMatchesScalar) {
 
   for (SimdTier Tier : supportedTiers()) {
     simdForceTier(Tier);
+    const SpanKernels &K = activeSpanKernels();
     std::vector<double> VecOut(Len);
     std::size_t VecN =
-        narrowSpanCount(VecOut.data(), Old.data(), New.data(), Len);
+        K.NarrowSpanCount(VecOut.data(), Old.data(), New.data(), Len);
     EXPECT_EQ(VecOut, ScalarOut) << simdTierName(Tier);
     EXPECT_EQ(VecN, ScalarN) << simdTierName(Tier);
   }
@@ -189,9 +179,11 @@ TEST_P(SpanKernelTest, WidenSpanCountMatchesScalar) {
 
     for (SimdTier Tier : supportedTiers()) {
       simdForceTier(Tier);
+      const SpanKernels &K = activeSpanKernels();
       std::vector<double> VecOut(Len);
-      std::size_t VecN = widenSpanCount(VecOut.data(), Old.data(), New.data(),
-                                        Len, Thresholds.data(), ThrN);
+      std::size_t VecN = K.WidenSpanCount(VecOut.data(), Old.data(),
+                                          New.data(), Len, Thresholds.data(),
+                                          ThrN);
       EXPECT_EQ(VecOut, ScalarOut) << simdTierName(Tier) << " ThrN=" << ThrN;
       EXPECT_EQ(VecN, ScalarN) << simdTierName(Tier) << " ThrN=" << ThrN;
     }
@@ -216,9 +208,11 @@ TEST_P(SpanKernelTest, WidenSpanCountWideThresholdTable) {
       Thresholds.size());
   for (SimdTier Tier : supportedTiers()) {
     simdForceTier(Tier);
+    const SpanKernels &K = activeSpanKernels();
     std::vector<double> VecOut(Len);
-    std::size_t VecN = widenSpanCount(VecOut.data(), Old.data(), New.data(),
-                                      Len, Thresholds.data(), Thresholds.size());
+    std::size_t VecN =
+        K.WidenSpanCount(VecOut.data(), Old.data(), New.data(), Len,
+                         Thresholds.data(), Thresholds.size());
     EXPECT_EQ(VecOut, ScalarOut) << simdTierName(Tier);
     EXPECT_EQ(VecN, ScalarN) << simdTierName(Tier);
   }
@@ -261,9 +255,10 @@ TEST_P(SpanKernelTest, LeqEqPredicatesMatchScalar) {
 
     for (SimdTier Tier : supportedTiers()) {
       simdForceTier(Tier);
-      EXPECT_EQ(spanLeq(A.data(), B.data(), Len), ScalarLeq)
+      const SpanKernels &K = activeSpanKernels();
+      EXPECT_EQ(K.SpanLeq(A.data(), B.data(), Len), ScalarLeq)
           << simdTierName(Tier);
-      EXPECT_EQ(spanEq(A.data(), B.data(), Len), ScalarEq)
+      EXPECT_EQ(K.SpanEq(A.data(), B.data(), Len), ScalarEq)
           << simdTierName(Tier);
     }
   }
@@ -277,7 +272,7 @@ INSTANTIATE_TEST_SUITE_P(Lengths, SpanKernelTest,
                                            15u, 16u, 31u, 33u, 64u, 130u));
 
 //===----------------------------------------------------------------------===//
-// Operator-level differential: vectorization on vs off.
+// Operator-level: every tier against the entry-level oracle.
 //===----------------------------------------------------------------------===//
 
 /// The shapes of random octagons the differential sweep draws from.
@@ -369,92 +364,10 @@ Octagon randomOct(unsigned N, Shape S, Rng &R) {
   return O;
 }
 
-/// Asserts the two octagons are indistinguishable: identical conceptual
-/// full DBMs (bitwise, including implicit trivia), nni, kind, partition,
-/// emptiness, and closedness. Takes mutable references because the
-/// emptiness test may close (identically on both sides).
-void expectOctIdentical(Octagon &Vec, Octagon &Scalar, const char *What) {
-  ASSERT_EQ(Vec.numVars(), Scalar.numVars()) << What;
-  EXPECT_EQ(Vec.kind(), Scalar.kind()) << What;
-  EXPECT_EQ(Vec.isClosed(), Scalar.isClosed()) << What;
-  EXPECT_TRUE(Vec.partition() == Scalar.partition()) << What;
-  bool VecBottom = Vec.isBottom();
-  ASSERT_EQ(VecBottom, Scalar.isBottom()) << What;
-  if (VecBottom)
-    return; // entry()/nni() are meaningless on the empty octagon
-  EXPECT_EQ(Vec.nni(), Scalar.nni()) << What;
-  unsigned D = 2 * Vec.numVars();
-  for (unsigned I = 0; I != D; ++I)
-    for (unsigned J = 0; J != D; ++J)
-      ASSERT_EQ(Vec.entry(I, J), Scalar.entry(I, J))
-          << What << ": entry (" << I << "," << J << ")";
-}
-
 class VectorOpsDifferentialTest : public ::testing::Test {
 protected:
-  void SetUp() override { Saved = octConfig().EnableVectorization; }
-  void TearDown() override { octConfig().EnableVectorization = Saved; }
-
-  /// Runs \p Op twice on fresh copies of (A, B) — vectorized and scalar
-  /// — and asserts the resulting octagons are identical. Op receives
-  /// mutable copies, matching the operator signatures that close their
-  /// arguments in place.
-  template <typename OpT>
-  void diffOp(const Octagon &A, const Octagon &B, OpT Op, const char *What) {
-    octConfig().EnableVectorization = true;
-    Octagon CA = A, CB = B;
-    Octagon Vec = Op(CA, CB);
-    octConfig().EnableVectorization = false;
-    Octagon SA = A, SB = B;
-    Octagon Scalar = Op(SA, SB);
-    octConfig().EnableVectorization = Saved;
-    expectOctIdentical(Vec, Scalar, What);
-    // The in-place closures the operator performed must agree too.
-    expectOctIdentical(CA, SA, What);
-    expectOctIdentical(CB, SB, What);
-  }
-
-  /// Same, for the boolean predicates.
-  template <typename PredT>
-  void diffPred(const Octagon &A, const Octagon &B, PredT Pred,
-                const char *What) {
-    octConfig().EnableVectorization = true;
-    Octagon CA = A, CB = B;
-    bool Vec = Pred(CA, CB);
-    octConfig().EnableVectorization = false;
-    Octagon SA = A, SB = B;
-    bool Scalar = Pred(SA, SB);
-    octConfig().EnableVectorization = Saved;
-    EXPECT_EQ(Vec, Scalar) << What;
-    expectOctIdentical(CA, SA, What);
-    expectOctIdentical(CB, SB, What);
-  }
-
-  void runAllOps(const Octagon &A, const Octagon &B) {
-    const std::vector<double> Thresholds = {-2.0, 0.0, 1.0, 5.0, 10.0, 20.0};
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::meet(X, Y); },
-           "meet");
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::join(X, Y); },
-           "join");
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::widen(X, Y); },
-           "widen");
-    diffOp(A, B,
-           [&](Octagon &X, Octagon &Y) {
-             return Octagon::widenWithThresholds(X, Y, Thresholds);
-           },
-           "widenWithThresholds");
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::narrow(X, Y); },
-           "narrow");
-    diffPred(A, B, [](Octagon &X, Octagon &Y) { return X.leq(Y); }, "leq");
-    diffPred(A, B, [](Octagon &X, Octagon &Y) { return X.equals(Y); },
-             "equals");
-  }
-
-  bool Saved;
+  TierGuard Guard;
+  ScribbleGuard Scribble;
 };
 
 TEST_F(VectorOpsDifferentialTest, RandomPairsAllShapes) {
@@ -467,7 +380,7 @@ TEST_F(VectorOpsDifferentialTest, RandomPairsAllShapes) {
               static_cast<unsigned>(SB));
         Octagon A = randomOct(N, SA, R);
         Octagon B = randomOct(N, SB, R);
-        runAllOps(A, B);
+        checkAllOps(A, B);
       }
   }
 }
@@ -481,21 +394,76 @@ TEST_F(VectorOpsDifferentialTest, CloselyRelatedPairs) {
     unsigned N = 8;
     Octagon A = randomOct(N, Shape::Dense, R);
     Octagon B = A; // identical
-    runAllOps(A, B);
+    checkAllOps(A, B);
     // Tighten one bound of B: A now strictly includes B.
     Octagon C = A;
     C.addConstraint(OctCons::upper(Seed % N, -1));
-    runAllOps(A, C);
-    runAllOps(C, A);
+    checkAllOps(A, C);
+    checkAllOps(C, A);
+  }
+
+  // Equal octagons with differing partitions. Both join arguments link
+  // the blocks {0,1} and {2,3} (through x1 - x2 and x2 - x1), so the
+  // closed join keeps the block {0,1,2,3} while every bound across the
+  // two halves is +inf again: it equals Split, whose closure finds
+  // {0,1} and {2,3}. equals and leq must read Split's unmaterialized
+  // cross slots as +inf.
+  {
+    unsigned N = 6;
+    Octagon Split(N);
+    Split.addConstraints({OctCons::diff(0, 1, 2), OctCons::diff(2, 3, 1)});
+    Octagon Left = Split, Right = Split;
+    Left.addConstraint(OctCons::diff(1, 2, 0));
+    Right.addConstraint(OctCons::diff(2, 1, 0));
+    Octagon Merged = Octagon::join(Left, Right);
+    Octagon SplitClosed = closedCopy(Split);
+    ASSERT_EQ(SplitClosed.partition().numComponents(), 2u);
+    ASSERT_EQ(Merged.partition().numComponents(), 1u);
+    ASSERT_TRUE(closedCopy(Merged).equals(SplitClosed));
+    checkAllOps(Split, Merged);
+    checkAllOps(Merged, Split);
+  }
+
+  // Two fully initialized octagons whose partitions are not whole:
+  // havoc on a dense octagon drops the variable from the partition but
+  // keeps the buffer materialized. meet then counts nni exactly over
+  // the packed buffer instead of over-approximating it. Every bound is
+  // nonnegative, so the origin satisfies both and havoc has an
+  // octagon to project.
+  auto DenseAroundOrigin = [](unsigned N, Rng &R) {
+    Octagon O(N);
+    std::vector<OctCons> Cs;
+    for (unsigned I = 0; I != N; ++I) {
+      Cs.push_back(OctCons::upper(I, R.intIn(0, 24)));
+      for (unsigned J = 0; J != I; ++J) {
+        Cs.push_back(OctCons::diff(I, J, R.intIn(0, 24)));
+        Cs.push_back(OctCons::sum(I, J, R.intIn(0, 24)));
+      }
+    }
+    O.addConstraints(Cs);
+    return O;
+  };
+  for (unsigned Seed = 0; Seed != 3; ++Seed) {
+    Rng R(7100 + Seed);
+    unsigned N = 8;
+    Octagon A = DenseAroundOrigin(N, R);
+    Octagon B = DenseAroundOrigin(N, R);
+    A.havoc(Seed);
+    B.havoc(Seed == 0 ? 0 : N - 1); // same variable, then different ones
+    for (const Octagon *X : {&A, &B}) {
+      ASSERT_TRUE(X->fullyInit());
+      ASSERT_FALSE(X->partition().isWhole());
+    }
+    checkAllOps(A, B);
+    checkAllOps(B, A);
   }
 }
 
 TEST_F(VectorOpsDifferentialTest, WideningSequenceConverges) {
   // A realistic widening sequence: iterate x <= k for growing k,
-  // widening at each step, both configurations in lockstep.
-  double Bounds[2] = {0, 0};
-  for (int Pass = 0; Pass != 2; ++Pass) {
-    octConfig().EnableVectorization = Pass == 0;
+  // widening at each step, every tier in lockstep.
+  for (SimdTier Tier : supportedTiers()) {
+    simdForceTier(Tier);
     unsigned N = 6;
     Octagon Acc(N);
     Acc.addConstraint(OctCons::upper(0, 0));
@@ -505,11 +473,11 @@ TEST_F(VectorOpsDifferentialTest, WideningSequenceConverges) {
       Step.addConstraint(OctCons::diff(1, 0, K));
       Acc = Octagon::widenWithThresholds(Acc, Step, {2.0, 8.0});
     }
-    // x0 grew 0 -> 1 on the first step: the bound climbs the threshold
-    // ladder (2, then 8, then +inf) identically in both configurations.
-    Bounds[Pass] = Acc.boundOf(OctCons::upper(0, 0));
+    // x0 grew 0 -> 1 on the first step and jumped to threshold 2; the
+    // step to 3 outgrew it and jumped to 8, which the step to 4 stays
+    // under. The unary entry holds 2x the bound.
+    EXPECT_EQ(Acc.boundOf(OctCons::upper(0, 0)), 16.0) << simdTierName(Tier);
   }
-  EXPECT_EQ(Bounds[0], Bounds[1]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -517,9 +485,9 @@ TEST_F(VectorOpsDifferentialTest, WideningSequenceConverges) {
 //===----------------------------------------------------------------------===//
 
 TEST(WidenThresholdsSemantics, UnaryBoundsUseDoubledThresholds) {
-  bool Saved = octConfig().EnableVectorization;
-  for (bool Vec : {true, false}) {
-    octConfig().EnableVectorization = Vec;
+  TierGuard Guard;
+  for (SimdTier Tier : supportedTiers()) {
+    simdForceTier(Tier);
     unsigned N = 2;
     Octagon Old(N), New(N);
     Old.addConstraint(OctCons::upper(0, 5));
@@ -530,31 +498,29 @@ TEST(WidenThresholdsSemantics, UnaryBoundsUseDoubledThresholds) {
     // {12, 20} with the raw entry 14 — searching the undoubled set
     // would wrongly return 6 at entry level (bound 3, unsound).
     Octagon W = Octagon::widenWithThresholds(Old, New, {6.0, 10.0});
-    EXPECT_EQ(W.boundOf(OctCons::upper(0, 0)), 20.0) << "vec=" << Vec;
+    EXPECT_EQ(W.boundOf(OctCons::upper(0, 0)), 20.0) << simdTierName(Tier);
   }
-  octConfig().EnableVectorization = Saved;
 }
 
 TEST(WidenThresholdsSemantics, BinaryBoundsUseRawThresholds) {
-  bool Saved = octConfig().EnableVectorization;
-  for (bool Vec : {true, false}) {
-    octConfig().EnableVectorization = Vec;
+  TierGuard Guard;
+  for (SimdTier Tier : supportedTiers()) {
+    simdForceTier(Tier);
     unsigned N = 2;
     Octagon Old(N), New(N);
     Old.addConstraint(OctCons::diff(0, 1, 3));
     New.addConstraint(OctCons::diff(0, 1, 4));
     // x0 - x1 grew 3 -> 4: jumps to threshold 6 (raw, not doubled).
     Octagon W = Octagon::widenWithThresholds(Old, New, {6.0, 10.0});
-    EXPECT_EQ(W.boundOf(OctCons::diff(0, 1, 0)), 6.0) << "vec=" << Vec;
+    EXPECT_EQ(W.boundOf(OctCons::diff(0, 1, 0)), 6.0) << simdTierName(Tier);
 
     // Stable bounds survive unchanged even with thresholds present.
     Octagon Old2(N), New2(N);
     Old2.addConstraint(OctCons::diff(0, 1, 4));
     New2.addConstraint(OctCons::diff(0, 1, 3));
     Octagon W2 = Octagon::widenWithThresholds(Old2, New2, {6.0, 10.0});
-    EXPECT_EQ(W2.boundOf(OctCons::diff(0, 1, 0)), 4.0) << "vec=" << Vec;
+    EXPECT_EQ(W2.boundOf(OctCons::diff(0, 1, 0)), 4.0) << simdTierName(Tier);
   }
-  octConfig().EnableVectorization = Saved;
 }
 
 } // namespace

@@ -12,7 +12,7 @@
 ///     --stats               closure count/cycles, octagon time
 ///     --dump-cfg            print the control-flow graph
 ///     --no-decomposition    disable online decomposition
-///     --no-vectorization    disable the AVX kernels
+///     --no-vectorization    pin the scalar kernel tier (OPTOCT_SIMD=scalar)
 ///     --no-sparse           disable the sparse closure
 ///     --threshold=<t>       sparsity threshold (default 0.75)
 ///     --widening-delay=<k>  joins before widening (default 2)
@@ -31,6 +31,7 @@
 #include "lang/parser.h"
 #include "oct/config.h"
 #include "oct/octagon.h"
+#include "oct/simd_dispatch.h"
 #include "support/stats.h"
 #include "support/timing.h"
 
@@ -115,7 +116,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     else if (Arg == "--no-decomposition")
       octConfig().EnableDecomposition = false;
     else if (Arg == "--no-vectorization")
-      octConfig().EnableVectorization = false;
+      simdForceTier(SimdTier::Scalar);
     else if (Arg == "--no-sparse")
       octConfig().EnableSparse = false;
     else if (Arg.rfind("--threshold=", 0) == 0) {
