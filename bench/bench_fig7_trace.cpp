@@ -38,19 +38,6 @@ std::vector<ClosureEvent> traceOf(const WorkloadSpec &Spec, Library Lib) {
   return R.Trace;
 }
 
-const char *kindName(int Tag) {
-  switch (Tag) {
-  case CK_Dense:
-    return "dense";
-  case CK_Sparse:
-    return "sparse";
-  case CK_Decomposed:
-    return "decomp";
-  default:
-    return "-";
-  }
-}
-
 } // namespace
 
 int main() {
@@ -92,14 +79,15 @@ int main() {
     std::printf("%-9zu %-10s %-7s %-10s %-11s %-12s %u\n", I,
                 Cell(Apron).c_str(), Cell(FW).c_str(), Cell(Dense).c_str(),
                 Cell(Opt).c_str(),
-                I < Opt.size() ? kindName(Opt[I].KindTag) : "-",
+                I < Opt.size() ? closureKindName(Opt[I].KindTag) : "-",
                 I < Opt.size() ? Opt[I].NumVars : 0);
   }
 
   // Summary: mean cycles of each series, and of OptOctagon's closures
   // split by the kind its dispatch selected. The dense->decomposed
   // transition is the drop between the CK_Dense mean and the
-  // CK_Decomposed mean.
+  // CK_Decomposed mean; CK_Incremental closures follow guards
+  // (Section 5.6).
   auto meanAll = [](const std::vector<ClosureEvent> &T) -> double {
     if (T.empty())
       return 0;
@@ -114,7 +102,7 @@ int main() {
               "Dense-only %.0f (%.1fx)\n",
               MeanApron, MeanFW, MeanApron / MeanFW, MeanDense,
               MeanApron / MeanDense);
-  for (int Tag : {CK_Dense, CK_Sparse, CK_Decomposed}) {
+  for (int Tag : {CK_Dense, CK_Sparse, CK_Decomposed, CK_Incremental}) {
     double Sum = 0;
     unsigned Count = 0;
     for (const ClosureEvent &E : Opt)
@@ -127,7 +115,8 @@ int main() {
     double Mean = Sum / Count;
     std::printf("OptOctagon %-7s closures: %4u, mean %.0f cycles "
                 "(%.1fx over APRON, %.1fx over FW)\n",
-                kindName(Tag), Count, Mean, MeanApron / Mean, MeanFW / Mean);
+                closureKindName(Tag), Count, Mean, MeanApron / Mean,
+                MeanFW / Mean);
   }
   std::printf("(paper: FW 7-8x over APRON on dense DBMs, OptOctagon a "
               "further ~3x,\n and >1000x over FW once the DBMs become "

@@ -6,12 +6,19 @@
 /// every assignment — the incremental closure restores strong closure in
 /// quadratic time versus the cubic full closure.
 ///
+/// The guard rows measure the same effect through the Octagon API: a
+/// closed Dense octagon meets one binary guard, and close() either
+/// pivots on the two guarded variables (the deferred incremental
+/// closure addConstraints sets up) or runs the full closure (the same
+/// raw matrix built by meet, which leaves no pending variables).
+///
 //===----------------------------------------------------------------------===//
 
 #include "baseline/closure_apron.h"
 #include "oct/closure_dense.h"
 #include "oct/closure_incremental.h"
 #include "oct/dbm.h"
+#include "oct/octagon.h"
 #include "support/random.h"
 
 #include <benchmark/benchmark.h>
@@ -78,6 +85,65 @@ void BM_ApronIncrementalClosure(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ApronIncrementalClosure)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+/// A closed Dense octagon over \p NumVars variables with random unary
+/// bounds and random bounds on both directions of their differences.
+Octagon makeClosedDense(unsigned NumVars) {
+  Rng R(8765 + NumVars);
+  Octagon O(NumVars);
+  std::vector<OctCons> Cs;
+  for (unsigned I = 0; I != NumVars; ++I) {
+    Cs.push_back(OctCons::upper(I, R.intIn(10, 40)));
+    Cs.push_back(OctCons::lower(I, 0));
+    for (unsigned J = 0; J != I; ++J)
+      if (R.chance(0.6)) {
+        Cs.push_back(OctCons::diff(I, J, R.intIn(0, 40)));
+        Cs.push_back(OctCons::diff(J, I, R.intIn(0, 40)));
+      }
+  }
+  O.addConstraints(Cs);
+  O.close();
+  return O;
+}
+
+/// A guard x0 - xj <= c with c halfway between the closed octagon's
+/// bounds on x0 - xj, for the first j where that strictly tightens
+/// without making the octagon empty.
+OctCons halfwayGuard(const Octagon &O) {
+  for (unsigned J = 1; J != O.numVars(); ++J) {
+    double Hi = O.boundOf(OctCons::diff(0, J, 0));
+    double Lo = -O.boundOf(OctCons::diff(J, 0, 0));
+    if (Hi - Lo >= 2)
+      return OctCons::diff(0, J, (Hi + Lo) / 2);
+  }
+  return OctCons::diff(0, 1, 0);
+}
+
+void BM_GuardDeferredIncremental(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  Octagon Guarded = makeClosedDense(N);
+  Guarded.addConstraint(halfwayGuard(Guarded));
+  for (auto _ : State) {
+    Octagon Work = Guarded;
+    Work.close();
+    benchmark::DoNotOptimize(Work.isClosed());
+  }
+}
+BENCHMARK(BM_GuardDeferredIncremental)->Arg(32)->Arg(64)->Arg(96)->Arg(128);
+
+void BM_GuardFullClose(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  Octagon Closed = makeClosedDense(N);
+  Octagon GuardOnly(N);
+  GuardOnly.addConstraint(halfwayGuard(Closed));
+  Octagon Guarded = Octagon::meet(Closed, GuardOnly);
+  for (auto _ : State) {
+    Octagon Work = Guarded;
+    Work.close();
+    benchmark::DoNotOptimize(Work.isClosed());
+  }
+}
+BENCHMARK(BM_GuardFullClose)->Arg(32)->Arg(64)->Arg(96)->Arg(128);
 
 } // namespace
 

@@ -15,6 +15,30 @@ void optoct::reserveBlockScratch(unsigned NumVars) {
   blockScratch().ensure(HalfDbm::matSize(NumVars));
 }
 
+void optoct::componentRuns(const std::vector<unsigned> &Vars,
+                           std::vector<VarRun> &Runs) {
+  Runs.clear();
+  for (unsigned V : Vars) {
+    if (!Runs.empty() && Runs.back().First + Runs.back().Count == V)
+      ++Runs.back().Count;
+    else
+      Runs.push_back({V, 1});
+  }
+}
+
+std::size_t optoct::countComponentFinite(const HalfDbm &M,
+                                         const std::vector<unsigned> &Vars,
+                                         std::vector<VarRun> &Runs) {
+  componentRuns(Vars, Runs);
+  std::size_t Nni = 0;
+  walkComponentSpans(Vars, Runs, [&](unsigned I, unsigned J0, unsigned Len) {
+    const double *Row = M.row(I) + J0;
+    for (unsigned J = 0; J != Len; ++J)
+      Nni += isFinite(Row[J]);
+  });
+  return Nni;
+}
+
 /// Both rows of source variable Hi = Vars[A] copy the same column
 /// layout: for each maximal chunk of consecutive component variables
 /// Vars[B0..] at or below A, source columns [2*Vars[B0], ...) are one

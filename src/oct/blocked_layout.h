@@ -50,16 +50,63 @@ inline std::size_t blockSize(std::size_t NumCompVars) {
   return 2 * NumCompVars * (NumCompVars + 1);
 }
 
+/// A maximal run of consecutive variables in a sorted component. The
+/// run [First, First+Count) owns the contiguous packed columns
+/// [2*First, 2*(First+Count)) of every stored row at or above it.
+struct VarRun {
+  unsigned First;
+  unsigned Count;
+};
+
+/// Splits the sorted component \p Vars into its maximal runs.
+void componentRuns(const std::vector<unsigned> &Vars,
+                   std::vector<VarRun> &Runs);
+
+/// Streams the stored spans of one component in place: for each
+/// variable Hi of \p Vars (ascending) and each of its extended rows I in
+/// {2Hi, 2Hi+1}, calls \p Fn(I, J0, Len) for every contiguous packed
+/// column span relating Hi to the component's variables <= Hi — the
+/// complete runs below Hi, then the partial run ending in Hi's own
+/// diagonal block. The spans cover exactly the slots packComponent
+/// gathers. \p Runs must be componentRuns(Vars).
+template <typename FnT>
+void walkComponentSpans(const std::vector<unsigned> &Vars,
+                        const std::vector<VarRun> &Runs, FnT Fn) {
+  std::size_t RunIdx = 0;
+  unsigned InRun = 0; // variables of Runs[RunIdx] already walked
+  for (unsigned Hi : Vars) {
+    if (InRun == Runs[RunIdx].Count) {
+      ++RunIdx;
+      InRun = 0;
+    }
+    for (unsigned R = 0; R != 2; ++R) {
+      unsigned I = 2 * Hi + R;
+      for (std::size_t Q = 0; Q != RunIdx; ++Q)
+        Fn(I, 2 * Runs[Q].First, 2 * Runs[Q].Count);
+      // Partial current run, including Hi's 2-wide diagonal block.
+      Fn(I, 2 * Runs[RunIdx].First, 2 * InRun + 2);
+    }
+    ++InRun;
+  }
+}
+
+/// Number of finite stored entries of \p M inside the component \p Vars
+/// (the component's share of nni), counted over its spans.
+std::size_t countComponentFinite(const HalfDbm &M,
+                                 const std::vector<unsigned> &Vars,
+                                 std::vector<VarRun> &Runs);
+
 /// Per-thread pack/scatter scratch: two operand areas and one result
 /// area, each large enough for every component block of one operator
 /// call laid end to end (bounded by matSize(n), since components are
 /// disjoint). Grown geometrically like the closure scratch and wired
 /// into reserveClosureScratch() so the batch runtime's worker arenas
-/// pre-size it.
+/// pre-size it. Runs is the span walkers' run list.
 struct BlockScratch {
   AlignedBuffer<double> A;
   AlignedBuffer<double> B;
   AlignedBuffer<double> R;
+  std::vector<VarRun> Runs;
 
   void ensure(std::size_t Len) {
     if (A.size() >= Len)

@@ -63,7 +63,7 @@ void pivotPassDense(HalfDbm &M, unsigned K, ClosureScratch &Scratch) {
 } // namespace
 
 bool optoct::incrementalClosureDense(HalfDbm &M,
-                                     const std::vector<unsigned> &Touched,
+                                     std::span<const unsigned> Touched,
                                      ClosureScratch &Scratch) {
   unsigned D = M.dim();
   if (D == 0)
@@ -86,7 +86,7 @@ bool optoct::incrementalClosureDense(HalfDbm &M,
 
 void optoct::incrementalClosureRestricted(HalfDbm &M,
                                           const std::vector<unsigned> &Vars,
-                                          const std::vector<unsigned> &Touched,
+                                          std::span<const unsigned> Touched,
                                           ClosureScratch &Scratch) {
   if (Vars.empty())
     return;

@@ -18,6 +18,7 @@
 #include "oct/closure_common.h"
 #include "oct/dbm.h"
 
+#include <span>
 #include <vector>
 
 namespace optoct {
@@ -25,7 +26,7 @@ namespace optoct {
 /// Incremental strong closure of a fully initialized half DBM that was
 /// strongly closed before the rows/columns of the variables in
 /// \p Touched were modified. Returns false if the octagon became empty.
-bool incrementalClosureDense(HalfDbm &M, const std::vector<unsigned> &Touched,
+bool incrementalClosureDense(HalfDbm &M, std::span<const unsigned> Touched,
                              ClosureScratch &Scratch);
 
 /// Restricted variant for the Decomposed kind: the DBM is meaningful
@@ -34,7 +35,7 @@ bool incrementalClosureDense(HalfDbm &M, const std::vector<unsigned> &Touched,
 /// responsible for the emptiness check on the component diagonal.
 void incrementalClosureRestricted(HalfDbm &M,
                                   const std::vector<unsigned> &Vars,
-                                  const std::vector<unsigned> &Touched,
+                                  std::span<const unsigned> Touched,
                                   ClosureScratch &Scratch);
 
 } // namespace optoct

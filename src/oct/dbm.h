@@ -26,6 +26,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 
 namespace optoct {
 
@@ -82,6 +83,13 @@ public:
   double at(unsigned I, unsigned J) const {
     assert(I < dim() && "DBM access out of range");
     return M[index(I, J)];
+  }
+
+  /// Copies every stored entry of \p Other, which has the same numVars().
+  void copyFrom(const HalfDbm &Other) {
+    assert(N == Other.N && "dimension mismatch");
+    if (N != 0)
+      std::memcpy(M.data(), Other.M.data(), size() * sizeof(double));
   }
 
   /// Re-shapes to \p NumVars variables, reusing the existing allocation

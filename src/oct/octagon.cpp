@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace optoct;
 
@@ -63,6 +64,23 @@ static thread_local OctStats *StatsSink = nullptr;
 void optoct::setOctStatsSink(OctStats *Sink) { StatsSink = Sink; }
 OctStats *optoct::octStatsSink() { return StatsSink; }
 
+const char *optoct::closureKindName(int Tag) {
+  switch (Tag) {
+  case CK_Top:
+    return "top";
+  case CK_Dense:
+    return "dense";
+  case CK_Sparse:
+    return "sparse";
+  case CK_Decomposed:
+    return "decomp";
+  case CK_Incremental:
+    return "incr";
+  default:
+    return "-";
+  }
+}
+
 ClosureScratch &Octagon::scratch() {
   static thread_local ClosureScratch S;
   return S;
@@ -105,6 +123,17 @@ Octagon::Octagon(unsigned NumVars) : M(NumVars), P(NumVars) {
   FullyInit = true;
   Closed = true;
   NniExplicit = 2 * static_cast<std::size_t>(NumVars);
+}
+
+void Octagon::copyComponentEntries(const HalfDbm &Src) {
+  std::vector<VarRun> &Runs = blockScratch().Runs;
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
+    const std::vector<unsigned> &Vars = P.component(C);
+    componentRuns(Vars, Runs);
+    walkComponentSpans(Vars, Runs, [&](unsigned I, unsigned J0, unsigned Len) {
+      std::memcpy(M.row(I) + J0, Src.row(I) + J0, Len * sizeof(double));
+    });
+  }
 }
 
 Octagon Octagon::makeBottom(unsigned NumVars) {
@@ -259,16 +288,18 @@ void Octagon::closeInner() {
     Kind = DbmKind::Top;
     Tag = CK_Top;
   } else if (!octConfig().EnableDecomposition || P.isWhole()) {
-    Tag = sparsity() >= octConfig().SparsityThreshold &&
+    Tag = NumPending                                      ? CK_Incremental
+          : sparsity() >= octConfig().SparsityThreshold &&
                   octConfig().EnableSparse
               ? CK_Sparse
               : CK_Dense;
     closeMonolithic();
   } else {
-    Tag = CK_Decomposed;
+    Tag = NumPending ? CK_Incremental : CK_Decomposed;
     closeDecomposed();
   }
 
+  NumPending = 0;
   Closed = true;
   if (StatsSink)
     StatsSink->recordClosure(readCycles() - Begin, numVars(), Tag);
@@ -277,94 +308,75 @@ void Octagon::closeInner() {
 void Octagon::closeMonolithic() {
   assert(FullyInit && "monolithic closure needs a materialized matrix");
   OctConfig &Cfg = octConfig();
-  if (Cfg.EnableSparse && sparsity() >= Cfg.SparsityThreshold) {
-    std::size_t Nni = 0;
-    if (!closureSparse(M, scratch(), Nni)) {
-      markEmpty();
-      return;
-    }
-    NniExplicit = Nni;
+  // After guards on a closed matrix only the pending variables' rows
+  // changed: pivoting on those restores the same closure (Section 5.6).
+  // The sparse/dense decision and its bookkeeping stay those of the
+  // full closure, so both reach the same partition and kind.
+  std::span<const unsigned> Touched = pending();
+  bool Sparse = Cfg.EnableSparse && sparsity() >= Cfg.SparsityThreshold;
+  std::size_t Nni = 0;
+  bool NonEmpty = !Touched.empty() ? incrementalClosureDense(M, Touched,
+                                                             scratch())
+                  : Sparse         ? closureSparse(M, scratch(), Nni)
+                                   : closureDense(M, scratch());
+  if (!NonEmpty) {
+    markEmpty();
+    return;
+  }
+  if (Sparse) {
+    NniExplicit = Touched.empty() ? Nni : M.countFinite();
     // Piggyback the exact recomputation of the independent components
     // on the sparse closure (Section 3.5).
     if (Cfg.EnableDecomposition)
       P = extractPartition(M);
-    reclassify();
-    return;
+  } else {
+    // Dense operators over-approximate nni as 2n^2+2n (Section 4.1).
+    NniExplicit = M.size();
   }
-  if (!closureDense(M, scratch())) {
-    markEmpty();
-    return;
-  }
-  // Dense operators over-approximate nni as 2n^2+2n (Section 4.1).
-  NniExplicit = M.size();
   reclassify();
 }
 
 void Octagon::closeDecomposed() {
   OctConfig &Cfg = octConfig();
 
-  // Shortest-path closure per component; it cannot connect variables in
-  // different components (Section 5.4).
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    // Decide dense vs sparse from the submatrix's own sparsity,
-    // computed on the fly before each closure (Section 3.3).
-    std::size_t SubSize = HalfDbm::matSize(static_cast<unsigned>(Vars.size()));
-    std::size_t SubNni = 0;
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B) {
-        unsigned Hi = Vars[A], Lo = Vars[B];
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            SubNni += isFinite(M.at(2 * Hi + R, 2 * Lo + S));
-      }
-    double SubD =
-        1.0 - static_cast<double>(SubNni) / static_cast<double>(SubSize);
-
-    if (Cfg.EnableSparse && SubD >= Cfg.SparsityThreshold) {
-      shortestPathSparseRestricted(M, Vars, scratch());
-      continue;
-    }
-    // Dense submatrix: copy into a contiguous temporary so the
-    // vectorized Algorithm 3 applies, then copy back (Section 4.3). The
-    // temp lives in the per-thread scratch so repeated closures (and
-    // batched jobs on the same worker) reuse one allocation.
-    unsigned SubN = static_cast<unsigned>(Vars.size());
+  if (NumPending) {
+    // Guards touched only the pending variables' components.
+    pivotTouchedComponents(pending());
+  } else {
+    // Shortest-path closure per component; it cannot connect variables
+    // in different components (Section 5.4).
     HalfDbm &Tmp = scratch().DenseTmp;
-    Tmp.resizeDiscard(SubN);
-    for (unsigned A = 0; A != SubN; ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Tmp.at(2 * A + R, 2 * B + S) =
-                M.at(2 * Vars[A] + R, 2 * Vars[B] + S);
-    shortestPathDense(Tmp, scratch());
-    for (unsigned A = 0; A != SubN; ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            M.at(2 * Vars[A] + R, 2 * Vars[B] + S) =
-                Tmp.at(2 * A + R, 2 * B + S);
+    for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
+      const std::vector<unsigned> &Vars = P.component(C);
+      // Gather the component into a contiguous temporary (Section 4.3)
+      // that lives in the per-thread scratch, so repeated closures (and
+      // batched jobs on the same worker) reuse one allocation. Dense vs
+      // sparse is decided from the submatrix's own sparsity, counted on
+      // the packed block (Section 3.3).
+      Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
+      packComponent(Tmp.data(), M, Vars);
+      double SubD = 1.0 - static_cast<double>(Tmp.countFinite()) /
+                              static_cast<double>(Tmp.size());
+      if (Cfg.EnableSparse && SubD >= Cfg.SparsityThreshold) {
+        shortestPathSparseRestricted(M, Vars, scratch());
+        continue;
+      }
+      // Dense submatrix: the vectorized Algorithm 3 on the block, then
+      // copy it back.
+      shortestPathDense(Tmp, scratch());
+      scatterComponent(Tmp.data(), M, Vars);
+    }
   }
 
   strengthenAndMerge();
-
-  // Emptiness check over the covered diagonal, then normalize it.
-  std::vector<unsigned> Covered = P.sortedVars();
-  for (unsigned V : Covered)
-    if (M.at(2 * V, 2 * V) < 0.0 || M.at(2 * V + 1, 2 * V + 1) < 0.0) {
-      markEmpty();
-      return;
-    }
-  for (unsigned V : Covered) {
-    M.at(2 * V, 2 * V) = 0.0;
-    M.at(2 * V + 1, 2 * V + 1) = 0.0;
+  if (!zeroCoveredDiagonal()) {
+    markEmpty();
+    return;
   }
 
   // Exact recomputation of the components within each (possibly merged)
   // block, then recount nni (Section 3.5).
   Partition NewP(numVars());
-  std::size_t Nni = 0;
   for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
     Partition Sub = extractPartition(M, P.component(C));
     for (std::size_t S = 0; S != Sub.numComponents(); ++S) {
@@ -375,18 +387,30 @@ void Octagon::closeDecomposed() {
     }
   }
   P = std::move(NewP);
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Nni += isFinite(M.at(2 * Vars[A] + R, 2 * Vars[B] + S));
+  NniExplicit = countNni();
+  reclassify();
+}
+
+bool Octagon::zeroCoveredDiagonal() {
+  std::vector<unsigned> Covered = P.sortedVars();
+  for (unsigned V : Covered)
+    if (M.at(2 * V, 2 * V) < 0.0 || M.at(2 * V + 1, 2 * V + 1) < 0.0)
+      return false;
+  for (unsigned V : Covered) {
+    M.at(2 * V, 2 * V) = 0.0;
+    M.at(2 * V + 1, 2 * V + 1) = 0.0;
   }
+  return true;
+}
+
+std::size_t Octagon::countNni() {
+  std::vector<VarRun> &Runs = blockScratch().Runs;
+  std::size_t Nni = 0;
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    Nni += countComponentFinite(M, P.component(C), Runs);
   if (FullyInit)
     Nni += 2 * (numVars() - P.coveredVars());
-  NniExplicit = Nni;
-  reclassify();
+  return Nni;
 }
 
 void Octagon::strengthenAndMerge() {
@@ -655,7 +679,7 @@ void Octagon::closeAudited() {
 // Incremental closure (Section 5.6)
 //===----------------------------------------------------------------------===//
 
-void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
+void Octagon::incrementalClose(std::span<const unsigned> Touched) {
   if (Empty)
     return;
   if (FullyInit && (P.isWhole() || !octConfig().EnableDecomposition)) {
@@ -671,9 +695,20 @@ void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
     return;
   }
 
-  // Decomposed: the touched variables already share one component with
-  // everything the new constraints relate them to; run restricted pivot
-  // passes there, then the global strengthening phase.
+  pivotTouchedComponents(Touched);
+  strengthenAndMerge();
+  if (!zeroCoveredDiagonal()) {
+    markEmpty();
+    return;
+  }
+  NniExplicit = countNni();
+  Closed = true;
+}
+
+void Octagon::pivotTouchedComponents(std::span<const unsigned> Touched) {
+  // The touched variables already share one component with everything
+  // the new constraints relate them to; run restricted pivot passes
+  // there. The caller runs the global strengthening phase.
   std::vector<std::size_t> TouchedComps;
   for (unsigned V : Touched) {
     int C = P.componentOf(V);
@@ -683,40 +718,12 @@ void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
   std::sort(TouchedComps.begin(), TouchedComps.end());
   TouchedComps.erase(std::unique(TouchedComps.begin(), TouchedComps.end()),
                      TouchedComps.end());
+  std::vector<unsigned> Local;
   for (std::size_t C : TouchedComps) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    std::vector<unsigned> Local;
+    Local.clear();
     for (unsigned V : Touched)
       if (P.componentOf(V) == static_cast<int>(C))
         Local.push_back(V);
-    incrementalClosureRestricted(M, Vars, Local, scratch());
+    incrementalClosureRestricted(M, P.component(C), Local, scratch());
   }
-  strengthenAndMerge();
-
-  std::vector<unsigned> Covered = P.sortedVars();
-  for (unsigned V : Covered)
-    if (M.at(2 * V, 2 * V) < 0.0 || M.at(2 * V + 1, 2 * V + 1) < 0.0) {
-      markEmpty();
-      return;
-    }
-  for (unsigned V : Covered) {
-    M.at(2 * V, 2 * V) = 0.0;
-    M.at(2 * V + 1, 2 * V + 1) = 0.0;
-  }
-  // Recount nni within the affected components (cheap relative to the
-  // pivot passes); untouched components kept their counts, but a full
-  // per-component recount keeps the bookkeeping simple and exact.
-  std::size_t Nni = 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Nni += isFinite(M.at(2 * Vars[A] + R, 2 * Vars[B] + S));
-  }
-  if (FullyInit)
-    Nni += 2 * (numVars() - P.coveredVars());
-  NniExplicit = Nni;
-  Closed = true;
 }

@@ -21,6 +21,12 @@
 /// Closure/consistency conventions:
 ///   * close() is idempotent and cached via the Closed flag; emptiness
 ///     is detected by closure and cached in the Empty flag.
+///   * Mutations that cannot keep the closed form clear Closed and leave
+///     the buffer raw until the next close(). Guards (addConstraints) on
+///     a closed octagon also record the variables they tightened, so
+///     that close() restores closure incrementally (Section 5.6) by
+///     pivoting on those variables only; any other unclosed state gets
+///     the full closure. Assignments close incrementally on the spot.
 ///   * join requires closed arguments and therefore takes mutable
 ///     references (it closes them in place, like APRON's lazy closure);
 ///     its result is closed.
@@ -39,6 +45,8 @@
 #include "support/budget.h"
 #include "support/stats.h"
 
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,7 +68,15 @@ enum ClosureKindTag {
   CK_Dense = 1,
   CK_Sparse = 2,
   CK_Decomposed = 3,
+  CK_Incremental = 4, ///< Deferred incremental closure after guards.
 };
+
+/// Number of ClosureKindTag values.
+inline constexpr int NumClosureKindTags = 5;
+
+/// Short name of a ClosureKindTag ("top", "dense", "sparse", "decomp",
+/// "incr"), or "-" for any other tag.
+const char *closureKindName(int Tag);
 
 /// Installs a statistics sink that all Octagon closures on the calling
 /// thread report to (nullptr to disable). The sink is thread-local:
@@ -88,12 +104,22 @@ public:
   /// the cell budget is a deterministic memory-pressure proxy. Moves
   /// transfer the buffer and charge nothing. Defined inline: the engine
   /// copies octagons on every propagate, and an out-of-line ctor costs
-  /// measurable batch throughput.
+  /// measurable batch throughput. The copy of an octagon that is not
+  /// fully initialized writes only the stored spans of its components
+  /// (Section 3: every other entry is implicit); Top and empty octagons
+  /// copy no entry at all.
   Octagon(const Octagon &Other)
-      : M(Other.M), P(Other.P), Kind(Other.Kind),
+      : M(Other.numVars()), P(Other.P), Kind(Other.Kind),
         NniExplicit(Other.NniExplicit), FullyInit(Other.FullyInit),
-        Closed(Other.Closed), Empty(Other.Empty) {
+        Closed(Other.Closed), Empty(Other.Empty),
+        NumPending(Other.NumPending), PendingVars(Other.PendingVars) {
     support::chargeDbmCells(M.size());
+    if (Empty)
+      return;
+    if (FullyInit)
+      M.copyFrom(Other.M);
+    else if (!P.empty())
+      copyComponentEntries(Other.M);
   }
   Octagon &operator=(const Octagon &Other) = default;
   Octagon(Octagon &&Other) = default;
@@ -159,12 +185,12 @@ public:
   bool leq(Octagon &Other);
   bool equals(Octagon &Other);
 
-  /// Meets with one octagonal constraint, then restores closure
-  /// incrementally (Section 5.6) when the octagon was closed.
+  /// Meets with one octagonal constraint (see addConstraints).
   void addConstraint(const OctCons &C);
 
-  /// Meets with several constraints at once (single incremental-closure
-  /// pass over all touched variables).
+  /// Meets with several constraints at once. Leaves the octagon
+  /// unclosed; when it was closed (or already awaiting an incremental
+  /// closure), the next close() pivots only on the touched variables.
   void addConstraints(const std::vector<OctCons> &Cs);
 
   /// Assignment transfer function x := e. Exact for the octagonal forms
@@ -217,7 +243,11 @@ private:
   /// Writes one full-DBM entry assuming its pair is inside a component.
   void setEntry(unsigned I, unsigned J, double Value);
 
-  /// Closure back ends (Section 5.2-5.5).
+  /// Copies the stored spans of every component of P from \p Src.
+  void copyComponentEntries(const HalfDbm &Src);
+
+  /// Closure back ends (Section 5.2-5.5). With a pending set they
+  /// restore closure incrementally (Section 5.6) instead.
   void closeMonolithic();
   void closeDecomposed();
 
@@ -246,7 +276,27 @@ private:
 
   /// Incremental closure after constraints touching \p Touched
   /// (Section 5.6).
-  void incrementalClose(const std::vector<unsigned> &Touched);
+  void incrementalClose(std::span<const unsigned> Touched);
+
+  /// Restricted pivot passes over every component that holds a variable
+  /// of \p Touched (the decomposed half of incremental closure).
+  void pivotTouchedComponents(std::span<const unsigned> Touched);
+
+  /// Emptiness check over the covered diagonal; on success normalizes
+  /// it to 0. Returns false when the octagon is empty.
+  bool zeroCoveredDiagonal();
+
+  /// Exact nni from the component spans (plus the materialized
+  /// diagonals of uncovered variables when fully initialized).
+  std::size_t countNni();
+
+  /// The variables recorded for the pending incremental closure.
+  std::span<const unsigned> pending() const {
+    return {PendingVars.data(), NumPending};
+  }
+
+  /// Adds \p V to the pending set; false when it is full.
+  bool notePending(unsigned V);
 
   /// Recomputes Kind from the partition/sparsity after a closure.
   void reclassify();
@@ -272,6 +322,13 @@ private:
   bool FullyInit = false;
   bool Closed = true; ///< Top is closed.
   bool Empty = false;
+
+  /// Variables whose rows guards tightened since the octagon was last
+  /// closed. Meaningful only while !Closed: a non-empty set lets close()
+  /// pivot on these variables alone; an empty one means a full closure.
+  static constexpr unsigned MaxPending = 8;
+  unsigned char NumPending = 0;
+  std::array<unsigned, MaxPending> PendingVars{};
 
   static ClosureScratch &scratch();
   friend void reserveClosureScratch(unsigned NumVars);

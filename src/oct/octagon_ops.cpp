@@ -37,51 +37,6 @@ using namespace optoct;
 
 namespace {
 
-/// A maximal run of consecutive variables in a sorted component. The
-/// run [First, First+Count) owns the contiguous packed columns
-/// [2*First, 2*(First+Count)) of every stored row at or above it.
-struct VarRun {
-  unsigned First;
-  unsigned Count;
-};
-
-void componentRuns(const std::vector<unsigned> &Vars,
-                   std::vector<VarRun> &Runs) {
-  Runs.clear();
-  for (unsigned V : Vars) {
-    if (!Runs.empty() && Runs.back().First + Runs.back().Count == V)
-      ++Runs.back().Count;
-    else
-      Runs.push_back({V, 1});
-  }
-}
-
-/// Streams the stored spans of one component: for each variable Hi of
-/// \p Vars (ascending) and each of its extended rows I in {2Hi, 2Hi+1},
-/// calls \p Fn(I, J0, Len) for every contiguous packed column span
-/// relating Hi to the component's variables <= Hi — the complete runs
-/// below Hi, then the partial run ending in Hi's own diagonal block.
-template <typename FnT>
-void walkComponentSpans(const std::vector<unsigned> &Vars,
-                        const std::vector<VarRun> &Runs, FnT Fn) {
-  std::size_t RunIdx = 0;
-  unsigned InRun = 0; // variables of Runs[RunIdx] already walked
-  for (unsigned Hi : Vars) {
-    if (InRun == Runs[RunIdx].Count) {
-      ++RunIdx;
-      InRun = 0;
-    }
-    for (unsigned R = 0; R != 2; ++R) {
-      unsigned I = 2 * Hi + R;
-      for (std::size_t Q = 0; Q != RunIdx; ++Q)
-        Fn(I, 2 * Runs[Q].First, 2 * Runs[Q].Count);
-      // Partial current run, including Hi's 2-wide diagonal block.
-      Fn(I, 2 * Runs[RunIdx].First, 2 * InRun + 2);
-    }
-    ++InRun;
-  }
-}
-
 /// Like walkComponentSpans, but reports the 2-wide diagonal-block span
 /// (columns 2Hi, 2Hi+1 — Hi's unary bounds) through \p UnaryFn instead
 /// of merging it into the last cross span. Widening needs the split:
@@ -227,7 +182,7 @@ Octagon Octagon::join(Octagon &A, Octagon &B) {
     // stream directly. The kernels count finite lanes as they go,
     // keeping nni exact without a second pass.
     std::size_t Count = 0;
-    std::vector<VarRun> Runs;
+    std::vector<VarRun> &Runs = blockScratch().Runs;
     for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C) {
       const std::vector<unsigned> &Vars = R.P.component(C);
       componentRuns(Vars, Runs);
@@ -303,7 +258,7 @@ Octagon Octagon::widenWithThresholds(const Octagon &Old, Octagon &New,
     Count = K.WidenSpanCount(R.M.data(), Old.M.data(), New.M.data(),
                              R.M.size(), nullptr, 0);
   } else {
-    std::vector<VarRun> Runs;
+    std::vector<VarRun> &Runs = blockScratch().Runs;
     for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C) {
       const std::vector<unsigned> &Vars = R.P.component(C);
       componentRuns(Vars, Runs);

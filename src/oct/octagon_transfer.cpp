@@ -23,10 +23,26 @@ using namespace optoct;
 
 void Octagon::addConstraint(const OctCons &C) { addConstraints({C}); }
 
+bool Octagon::notePending(unsigned V) {
+  for (unsigned I = 0; I != NumPending; ++I)
+    if (PendingVars[I] == V)
+      return true;
+  if (NumPending == MaxPending)
+    return false;
+  PendingVars[NumPending++] = V;
+  return true;
+}
+
 void Octagon::addConstraints(const std::vector<OctCons> &Cs) {
   if (Empty || Cs.empty())
     return;
   bool Changed = false;
+  // Incremental closure stays possible while the matrix was closed
+  // before the first pending guard and the touched variables fit the
+  // pending set.
+  bool Track = Closed || NumPending != 0;
+  if (Closed)
+    NumPending = 0;
 
   for (const OctCons &C : Cs) {
     assert(C.I < numVars() && (C.isUnary() || C.J < numVars()) &&
@@ -49,13 +65,18 @@ void Octagon::addConstraints(const std::vector<OctCons> &Cs) {
     if (Bound < Old) {
       setEntry(E.Row, E.Col, Bound);
       Changed = true;
+      Track = Track && notePending(C.I) && (C.isUnary() || notePending(C.J));
     }
   }
   if (!Changed)
     return;
-  // Like APRON's meet-with-constraints, the result is left unclosed;
-  // the next operator needing the closed form triggers a full closure
-  // (incremental closure is reserved for assignments, Section 5.6).
+  // Like APRON's meet-with-constraints, the result is left unclosed, so
+  // operators that read the raw matrix (widening's first argument) see
+  // exactly the tightened entries. The next close() pivots on the
+  // touched variables only (Section 5.6), or runs the full closure when
+  // they overflowed the pending set or the matrix was not closed.
+  if (!Track)
+    NumPending = 0;
   Closed = false;
   Kind = P.empty()    ? DbmKind::Top
          : P.isWhole() ? Kind
@@ -167,7 +188,8 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     Closed = false;
     // The new arcs live in the bands of both x and y, so the
     // incremental closure must pivot both variables.
-    incrementalClose({X, Y});
+    const unsigned Touched[] = {X, Y};
+    incrementalClose(Touched);
     return;
   }
 
@@ -181,7 +203,7 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     setEntry(2 * X + 1, 2 * X, 2 * E.Const);
     setEntry(2 * X, 2 * X + 1, -2 * E.Const);
     Closed = false;
-    incrementalClose({X});
+    incrementalClose({&X, 1});
     return;
   }
 
@@ -203,7 +225,7 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
   if (Iv.Lo != -Infinity)
     setEntry(2 * X, 2 * X + 1, -2 * Iv.Lo);
   Closed = false;
-  incrementalClose({X});
+  incrementalClose({&X, 1});
 }
 
 void Octagon::havoc(unsigned X) {
@@ -355,18 +377,7 @@ void Octagon::removeTrailingVars(unsigned Count) {
     P = Partition::whole(NewN);
 
   // Recount nni within the surviving components.
-  std::size_t Nni = 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Nni += isFinite(M.at(2 * Vars[A] + R, 2 * Vars[B] + S));
-  }
-  if (FullyInit)
-    Nni += 2 * (NewN - P.coveredVars());
-  NniExplicit = Nni;
+  NniExplicit = countNni();
   reclassify();
 }
 

@@ -85,8 +85,12 @@ TEST(OctStats, AccumulatesAndTraces) {
   EXPECT_EQ(S.maxVars(), 8u);
   ASSERT_EQ(S.trace().size(), 2u);
   EXPECT_EQ(S.trace()[1].KindTag, 3);
+  EXPECT_EQ(S.closuresOfKind(1), 1u);
+  EXPECT_EQ(S.closureCyclesOfKind(3), 300u);
+  EXPECT_EQ(S.closuresOfKind(2), 0u);
   S.reset();
   EXPECT_EQ(S.numClosures(), 0u);
+  EXPECT_EQ(S.closuresOfKind(3), 0u);
   EXPECT_EQ(S.minVars(), 0u);
   EXPECT_TRUE(S.trace().empty());
 }

@@ -9,7 +9,8 @@
 ///     --library=opt|apron   octagon implementation (default opt)
 ///     --invariants          print the invariant at every block entry
 ///     --loop-invariants     print invariants at loop heads only
-///     --stats               closure count/cycles, octagon time
+///     --stats               closure count/cycles (OptOctagon: also by
+///                           closure kind), octagon time
 ///     --dump-cfg            print the control-flow graph
 ///     --no-decomposition    disable online decomposition
 ///     --no-vectorization    pin the scalar kernel tier (OPTOCT_SIMD=scalar)
@@ -42,6 +43,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 using namespace optoct;
 
@@ -206,6 +208,19 @@ int runAnalysis(const CliOptions &Opts, const cfg::Cfg &Graph,
                 static_cast<double>(Result.OctagonCycles) / 1e6,
                 Timer.seconds() * 1e3,
                 static_cast<unsigned long long>(Result.BlockVisits));
+    if constexpr (std::is_same_v<DomainT, Octagon>) {
+      // Closures by the kind the Section 3.5 dispatch picked.
+      std::printf("       closures by kind:");
+      for (int Tag = 0; Tag != NumClosureKindTags; ++Tag)
+        std::printf(" %s %llu%s", closureKindName(Tag),
+                    static_cast<unsigned long long>(Stats.closuresOfKind(Tag)),
+                    Tag + 1 == NumClosureKindTags ? "\n" : ",");
+      std::printf("       closure Mcycles by kind:");
+      for (int Tag = 0; Tag != NumClosureKindTags; ++Tag)
+        std::printf(" %s %.1f%s", closureKindName(Tag),
+                    static_cast<double>(Stats.closureCyclesOfKind(Tag)) / 1e6,
+                    Tag + 1 == NumClosureKindTags ? "\n" : ",");
+    }
   }
   return Proven == Total ? 0 : 1;
 }
